@@ -58,8 +58,7 @@ pub mod types;
 /// Convenience imports.
 pub mod prelude {
     pub use crate::app::{
-        group_by_key, run_combiner, CostProfile, HashPartitioner, MapReduceApp, Partitioner,
-        RangePartitioner,
+        CostProfile, HashPartitioner, MapReduceApp, Partitioner, RangePartitioner,
     };
     pub use crate::config::JobConfig;
     pub use crate::counters::Counters;

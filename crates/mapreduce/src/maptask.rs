@@ -8,7 +8,7 @@
 //! optionally combined) before spilling to the VM's (NFS-backed) disk,
 //! which is where the paper's NFS-bottleneck conclusion bites.
 
-use crate::app::run_combiner;
+use crate::app::hash_combine;
 use crate::job::{JobEvent, JobId};
 use crate::state::{tag_full, TaskPhase, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_WRITE};
 use crate::types::{records_size, Record, K, V};
@@ -119,28 +119,20 @@ impl MrEngine {
         } else {
             // Partition, optionally combine, then spill to local (NFS) disk.
             let n_red = job.num_reduces();
-            let mut parts: Vec<Vec<Record>> = (0..n_red).map(|_| Vec::new()).collect();
-            for (k, v) in emitted {
-                let p = job.partitioner.partition(&k, n_red as u32) as usize;
-                parts[p.min(n_red - 1)].push((k, v));
-            }
-            let mut combined_records = 0u64;
-            let mut total_bytes = 0u64;
-            let use_combiner = job.spec.config.use_combiner;
-            let app = job.app.as_ref();
-            let stored: Vec<Option<Vec<Record>>> = parts
-                .into_iter()
-                .map(|p| {
-                    let p =
-                        if use_combiner { run_combiner(app, p.clone()).unwrap_or(p) } else { p };
-                    combined_records += p.len() as u64;
-                    total_bytes += records_size(&p);
-                    Some(p)
-                })
-                .collect();
-            job.counters.combine_output_records += combined_records;
-            spill_bytes = total_bytes as f64;
-            job.map_outputs[m] = stored;
+            let parts = if job.spec.config.use_combiner {
+                hash_combine(job.app.as_ref(), job.partitioner.as_ref(), n_red, emitted)
+            } else {
+                let mut parts: Vec<Vec<Record>> = vec![Vec::new(); n_red];
+                for (k, v) in emitted {
+                    let p = job.partitioner.partition(&k, n_red as u32) as usize;
+                    parts[p.min(n_red - 1)].push((k, v));
+                }
+                parts
+            };
+            job.counters.combine_output_records +=
+                parts.iter().map(|p| p.len() as u64).sum::<u64>();
+            spill_bytes = parts.iter().map(|p| records_size(p)).sum::<u64>() as f64;
+            job.map_outputs[m] = parts.into_iter().map(Some).collect();
         }
 
         let mut chain = cluster.compute(vm, cycles);

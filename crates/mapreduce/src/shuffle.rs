@@ -9,10 +9,10 @@
 //! boundaries is what separates the paper's normal vs. cross-domain
 //! wordcount curves (Fig. 2).
 
-use crate::app::group_by_key;
+use crate::app::sort_groups;
 use crate::job::{JobEvent, JobId};
 use crate::state::{tag, tag_full, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE};
-use crate::types::{records_size, Record, K, V};
+use crate::types::{records_size, Record};
 use simcore::prelude::*;
 use vcluster::cluster::VirtualCluster;
 use vhdfs::hdfs::Hdfs;
@@ -69,30 +69,19 @@ impl MrEngine {
                 &[("job", f64::from(jid.0)), ("task", r as f64)],
             );
         }
-        // Merge all fetched partitions, group, and really reduce. The
-        // partitions are kept (cloned, not taken) until the job finishes
-        // so a failed reduce can re-run from them, as Hadoop re-fetches
-        // map output that is still alive.
-        let mut merged: Vec<Record> = Vec::new();
-        let mut segments = 0u32;
-        for m in 0..job.maps.len() {
-            if let Some(part) = job.map_outputs[m][r].clone() {
-                if !part.is_empty() {
-                    segments += 1;
-                }
-                merged.extend(part);
-            }
-        }
-        let in_records = merged.len() as u64;
-        let in_bytes = records_size(&merged);
-        let grouped = group_by_key(merged);
-        let groups = grouped.len() as u64;
-
+        // Merge all fetched partitions, group, and really reduce. The map
+        // outputs are only borrowed, so they stay in place until the job
+        // finishes and a failed reduce can re-run from them, as Hadoop
+        // re-fetches map output that is still alive.
+        let fetched: Vec<&[Record]> =
+            job.map_outputs.iter().filter_map(|parts| parts[r].as_deref()).collect();
+        let in_records = fetched.iter().map(|p| p.len() as u64).sum::<u64>();
+        let in_bytes = fetched.iter().map(|p| records_size(p)).sum::<u64>();
+        let segments = fetched.iter().filter(|p| !p.is_empty()).count() as u32;
         let mut out: Vec<Record> = Vec::new();
-        for (k, vals) in &grouped {
-            let mut emit = |ek: K, ev: V| out.push((ek, ev));
-            job.app.reduce(k, vals, &mut emit);
-        }
+        let app = job.app.as_ref();
+        let groups =
+            sort_groups(fetched, |k, vals| app.reduce(k, vals, &mut |ek, ev| out.push((ek, ev))));
         job.counters.reduce_input_records += in_records;
         job.counters.reduce_input_groups += groups;
 

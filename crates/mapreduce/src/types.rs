@@ -32,7 +32,11 @@ impl K {
         }
     }
 
-    /// Stable hash used by the default partitioner.
+    /// Hash used by the default partitioner: SipHash through std's
+    /// `DefaultHasher`. It is stable within one toolchain only, because std
+    /// does not promise `DefaultHasher` values across Rust releases; a
+    /// toolchain upgrade may move partition assignments and every output
+    /// or trace that depends on them.
     pub fn stable_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.hash(&mut h);

@@ -48,10 +48,19 @@ fn corpus(splits: usize, lines: usize) -> VecInput {
 }
 
 fn register_and_run(rt: &mut MrRuntime, splits: usize, config: JobConfig) -> JobResult {
+    run_app(rt, splits, config, Box::new(WordCount))
+}
+
+fn run_app(
+    rt: &mut MrRuntime,
+    splits: usize,
+    config: JobConfig,
+    app: Box<dyn MapReduceApp>,
+) -> JobResult {
     // Input sized to produce exactly `splits` HDFS blocks.
     rt.register_input("/in", (splits as u64) * 8 * MB - 1, VmId(1));
     let spec = JobSpec::new("wc", "/in", "/out").with_config(config);
-    rt.run_job(spec, Box::new(WordCount), Box::new(corpus(splits, 50)))
+    rt.run_job(spec, app, Box::new(corpus(splits, 50)))
 }
 
 #[test]
@@ -96,6 +105,64 @@ fn combiner_cuts_shuffle_traffic() {
     a.sort_by(|x, y| x.0.cmp(&y.0));
     b.sort_by(|x, y| x.0.cmp(&y.0));
     assert_eq!(a, b);
+}
+
+/// Word counting whose combiner only takes the keys `take` accepts. The
+/// reducer reports how many values reached it next to their sum, so a
+/// declined group that was not shuffled verbatim shows in the output.
+struct PickyCount {
+    take: fn(&K) -> bool,
+}
+
+impl MapReduceApp for PickyCount {
+    fn name(&self) -> &str {
+        "picky-count"
+    }
+    fn map(&self, k: &K, v: &V, out: &mut dyn FnMut(K, V)) {
+        WordCount.map(k, v, out);
+    }
+    fn reduce(&self, k: &K, vs: &[V], out: &mut dyn FnMut(K, V)) {
+        let sum = vs.iter().map(V::as_int).sum::<i64>();
+        out(k.clone(), V::Tuple(vec![V::Int(vs.len() as i64), V::Int(sum)]));
+    }
+    fn combine(&self, k: &K, vs: &[V], out: &mut dyn FnMut(K, V)) -> bool {
+        (self.take)(k) && WordCount.combine(k, vs, out)
+    }
+}
+
+#[test]
+fn declining_combiner_matches_combiner_off() {
+    let run = |combiner: bool| {
+        let mut rt = runtime(Placement::SingleDomain, 8);
+        let config = JobConfig::default().with_combiner(combiner).with_reduces(3);
+        run_app(&mut rt, 3, config, Box::new(PickyCount { take: |_| false }))
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(on.outputs, off.outputs);
+    assert_eq!(on.partition_sizes, off.partition_sizes);
+    assert_eq!(on.counters, off.counters);
+    assert_eq!(on.finished, off.finished);
+    assert_eq!(on.counters.combine_output_records, on.counters.map_output_records);
+}
+
+#[test]
+fn declined_groups_pass_through_verbatim() {
+    let mut rt = runtime(Placement::SingleDomain, 8);
+    let config = JobConfig::default().with_reduces(3);
+    let result =
+        run_app(&mut rt, 3, config, Box::new(PickyCount { take: |k| *k == K::from("the") }));
+    let get = |w: &str| -> Vec<V> {
+        let (_, v) = result.outputs.iter().find(|(k, _)| *k == K::from(w)).expect("word present");
+        v.as_tuple().to_vec()
+    };
+    // "the" is on every line: each of the 3 maps combines its 50 into one.
+    assert_eq!(get("the"), vec![V::Int(3), V::Int(150)]);
+    // Declined words reach the reducer one record per occurrence.
+    assert_eq!(get("dog"), vec![V::Int(100), V::Int(100)]);
+    assert_eq!(get("fox"), vec![V::Int(50), V::Int(50)]);
+    let c = result.counters;
+    assert_eq!(c.combine_output_records, c.map_output_records - 3 * 49);
+    assert_eq!(c.reduce_input_records, c.combine_output_records);
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //!   flow/delay steps, optionally AND-joined into batches, whose completions
 //!   surface as tagged [`engine::Wakeup`]s;
 //! * [`rng::RootSeed`] — labelled deterministic random streams;
+//! * [`hash::fnv1a`] — the explicit, process- and toolchain-independent hash;
 //! * [`faults`] — a scriptable fault taxonomy ([`faults::FaultKind`]) and
 //!   deterministic, seed-drivable schedules ([`faults::FaultPlan`]);
 //! * [`stats`] — summary statistics used by monitors and benches;
@@ -40,6 +41,7 @@
 pub mod engine;
 pub mod faults;
 pub mod fluid;
+pub mod hash;
 pub mod ids;
 pub mod owners;
 pub mod persist;

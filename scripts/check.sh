@@ -43,6 +43,20 @@ else
     done
 fi
 
+echo "==> determinism across processes"
+# In-process tests cannot see per-process state (such as a RandomState
+# hash-map order) leaking into results: run quickstart as two separate
+# processes and require byte-identical stdout and trace.
+for run in 1 2; do
+    cargo run --release -q -p vhadoop-examples --bin quickstart > "results/.quickstart.$run.out"
+    cp "$trace" "results/.quickstart.$run.trace.json"
+done
+cmp -s results/.quickstart.1.out results/.quickstart.2.out \
+    || { echo "quickstart stdout differs between processes" >&2; exit 1; }
+cmp -s results/.quickstart.1.trace.json results/.quickstart.2.trace.json \
+    || { echo "$trace differs between processes" >&2; exit 1; }
+rm -f results/.quickstart.[12].out results/.quickstart.[12].trace.json
+
 echo "==> faults: chaos & property suites"
 # Snapshot the tree state first: fault/chaos tests must only ever write
 # under results/.

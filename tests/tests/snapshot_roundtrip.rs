@@ -9,6 +9,7 @@ mod common;
 use common::{fig2_hdfs, fig2_job, launch_fig2, sorted_outputs, MB};
 use vhadoop::persist::Snapshot;
 use vhadoop::prelude::*;
+use vhadoop::simcore::hash::fnv1a;
 use vhadoop::simcore::persist::{validate_header, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 const INPUT_BYTES: u64 = 4 * MB;
@@ -232,15 +233,6 @@ fn snapshot_bytes_are_canonical_and_repeatable() {
 /// FNV-1a over the snapshot bytes of one pinned configuration. If this
 /// hash moves, the on-disk format changed: bump
 /// `simcore::persist::SNAPSHOT_VERSION` and re-pin.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 #[test]
 fn golden_snapshot_hash_pins_the_format() {
     let (mut p, _) = launch_and_submit(1, FaultPlan::new());
